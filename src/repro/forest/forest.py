@@ -80,27 +80,18 @@ class DecisionForest:
         """The N-hot leaf bitvector COPSE computes (Section 4.1.2).
 
         One slot per leaf in the forest-wide preorder enumeration; a slot
-        is 1 exactly when its leaf is the one its tree selects.
+        is 1 exactly when its leaf is the one its tree selects.  Each
+        tree's leaf positions are memoized, so a query costs one
+        root-to-leaf walk per tree.
         """
         self._check_features(features)
         bits: List[int] = []
         for tree in self.trees:
-            chosen = self._chosen_leaf_position(tree, features)
-            bits.extend(
-                1 if i == chosen else 0 for i in range(tree.num_leaves)
-            )
+            positions, n_leaves = tree.leaf_positions()
+            chosen = len(bits) + positions[id(tree.leaf_for(features))]
+            bits += [0] * n_leaves
+            bits[chosen] = 1
         return bits
-
-    @staticmethod
-    def _chosen_leaf_position(tree: DecisionTree, features: Sequence[int]) -> int:
-        leaves = tree.leaves()
-        node = tree.root
-        while isinstance(node, Branch):
-            node = node.true_child if node.decide(features) else node.false_child
-        for i, leaf in enumerate(leaves):
-            if leaf is node:
-                return i
-        raise ValidationError("chosen leaf not found in enumeration")
 
     # ------------------------------------------------------------------
     # Model statistics (Section 4.1.1)

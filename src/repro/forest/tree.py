@@ -16,7 +16,7 @@ Structural queries implement the definitions of Section 4.1.1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.forest.node import Branch, Leaf, Node
@@ -27,7 +27,35 @@ class DecisionTree:
     """A decision tree over integer (fixed-point) features."""
 
     root: Node
-    _levels: Dict[int, int] = field(default_factory=dict, repr=False)
+    # Memos keyed by ``id(node)``.  Nodes are frozen, so only reassigning
+    # ``root`` can stale them, and ``__setattr__`` drops them when it
+    # happens.  An ``id()`` means nothing in another process or in a
+    # copy, so pickling and copying drop them too (``__getstate__``).
+    _levels: Dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _leaf_index: Optional[Tuple[Dict[int, int], int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "root":
+            self._drop_memos()
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_levels", None)
+        state.pop("_leaf_index", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._drop_memos()
+
+    def _drop_memos(self) -> None:
+        self._levels = {}
+        self._leaf_index = None
 
     # ------------------------------------------------------------------
     # Inference
@@ -35,10 +63,14 @@ class DecisionTree:
 
     def classify(self, features: Sequence[int]) -> int:
         """Return the label index this tree assigns to a feature vector."""
+        return self.leaf_for(features).label_index
+
+    def leaf_for(self, features: Sequence[int]) -> Leaf:
+        """The leaf a feature vector reaches from the root."""
         node = self.root
         while isinstance(node, Branch):
             node = node.true_child if node.decide(features) else node.false_child
-        return node.label_index
+        return node
 
     def decision_path(self, features: Sequence[int]) -> List[bool]:
         """The sequence of decision bits taken from root to leaf."""
@@ -71,6 +103,20 @@ class DecisionTree:
     def leaves(self) -> List[Leaf]:
         """Leaves in preorder (the paper's label enumeration)."""
         return [n for n in self.preorder() if isinstance(n, Leaf)]
+
+    def leaf_positions(self) -> Tuple[Dict[int, int], int]:
+        """``(id(leaf) -> preorder position, leaf count)``, memoized.
+
+        A leaf object reachable at several positions maps to the first.
+        """
+        index = self._leaf_index
+        if index is None:
+            leaves = self.leaves()
+            positions: Dict[int, int] = {}
+            for i, leaf in enumerate(leaves):
+                positions.setdefault(id(leaf), i)
+            index = self._leaf_index = (positions, len(leaves))
+        return index
 
     # ------------------------------------------------------------------
     # Structural statistics

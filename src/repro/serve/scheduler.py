@@ -246,15 +246,24 @@ class _ModelQueue:
         self._cut_at: Optional[float] = None
         self._cut_dirty = True
 
-    def push(self, ticket: QueryTicket) -> None:
+    def push(self, ticket: QueryTicket) -> bool:
+        """Queue a ticket; True when a waiting worker must look again.
+
+        That is when the queue is now cut-ready (full, or a flush is
+        pending) or the push moved its cut frontier earlier.  Any other
+        push leaves a sleeping worker's wake-up time correct.
+        """
+        frontier = self.cut_deadline()
         heapq.heappush(self.heap, (ticket.sort_key(), ticket))
-        if ticket.deadline is None or self._cut_dirty:
-            return  # no new cut pressure / cache already needs a rescan
-        # A push can only *advance* the cut frontier, so the cached
-        # minimum updates in O(1) — a burst of N submissions must not
-        # trigger N full heap rescans from the workers it wakes.
-        cut = ticket.deadline - self.service_s
-        self._cut_at = cut if self._cut_at is None else min(self._cut_at, cut)
+        if ticket.deadline is not None:
+            # A push can only *advance* the cut frontier, so the cached
+            # minimum updates in O(1) — a burst of N submissions must
+            # not trigger N full heap rescans.
+            cut = ticket.deadline - self.service_s
+            if frontier is None or cut < frontier:
+                self._cut_at = cut
+                return True
+        return len(self.heap) >= self.capacity or self.flush_pending
 
     def invalidate_cut_cache(self) -> None:
         self._cut_dirty = True
@@ -327,6 +336,10 @@ class SchedulerCore:
         self._seq = itertools.count()
         self._batch_ids = itertools.count(1)
         self._closed = False
+        #: Whether the last admitted submit made a batch dispatchable
+        #: sooner (see ``_ModelQueue.push``); the threaded engine wakes
+        #: its idle workers only then.
+        self.submit_wakes = False
         #: Optional audit log of (batch_id, queue, worker, size,
         #: first_seq, cut_time) — the determinism witness.
         self.decisions: Optional[List[Tuple]] = (
@@ -584,7 +597,7 @@ class SchedulerCore:
             ticket.wait_span = self.tracer.begin(
                 "queue_wait", now, parent=ticket.span, track=track
             )
-        queue.push(ticket)
+        self.submit_wakes = queue.push(ticket)
         self._submitted.inc()
         self.metrics.counter(
             "sched_tenant_submitted", {"tenant": tenant}
@@ -1127,9 +1140,13 @@ class Scheduler:
     ``evaluate`` callbacks are registered per queue (by
     :meth:`add_queue`); each worker repeatedly asks the core for an
     assignment, runs the queue's evaluator outside the lock, and reports
-    the outcome.  Waiting workers wake on submissions, flushes, *and* on
-    the earliest pending slack-cut deadline, so deadline-forced partial
-    batches dispatch without any caller involvement.
+    the outcome.  Idle workers sleep until the earliest pending
+    slack-cut deadline, so deadline-forced partial batches dispatch
+    without any caller involvement.  A submit wakes them only when it
+    fills a batch, lands on a flushed queue, or moves the cut frontier
+    earlier; flushes, completions, close and the control seams always
+    wake them.  The 0.5 s cap on a sleep is a safety net, not the
+    mechanism.
     """
 
     def __init__(
@@ -1221,7 +1238,10 @@ class Scheduler:
                 deadline=deadline,
                 priority=priority,
             )
-            self._cond.notify_all()
+            # Idle workers sleep until the next slack cut; only a submit
+            # that makes a batch dispatchable sooner needs to wake them.
+            if self._core.submit_wakes:
+                self._cond.notify_all()
             return ticket
 
     def flush(self, name: Optional[str] = None) -> None:

@@ -1,5 +1,8 @@
 """Tests for tree nodes and single-tree behaviour."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import ValidationError
@@ -91,6 +94,55 @@ class TestTraversal:
     def test_feature_and_threshold_vectors(self, example_tree):
         assert example_tree.feature_indices() == [1, 0, 1, 0]
         assert example_tree.thresholds() == [120, 60, 40, 200]
+
+
+class TestMemos:
+    """The ``id(node)``-keyed memos never outlive the nodes they name."""
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_start_with_empty_memos(self, clone):
+        tree = build_example_tree()
+        assert tree.depth == 3 and tree.leaf_positions()[1] == 5
+        assert tree._levels and tree._leaf_index is not None
+        copied = clone(tree)
+        assert copied._levels == {} and copied._leaf_index is None
+        fresh = build_example_tree()
+        assert copied.depth == fresh.depth
+        assert [copied.node_level(b) for b in copied.branches()] == [
+            fresh.node_level(b) for b in fresh.branches()
+        ]
+        assert copied.leaf_positions()[1] == fresh.leaf_positions()[1]
+        assert copied == tree  # memos never take part in equality
+
+    def test_pickle_carries_no_memo(self):
+        tree = build_example_tree()
+        cold = pickle.dumps(tree)
+        tree.depth, tree.leaf_positions()
+        assert pickle.dumps(tree) == cold
+
+    def test_root_reassignment_drops_memos(self):
+        tree = build_example_tree()
+        assert tree.depth == 3 and tree.leaf_positions()[1] == 5
+        tree.root = Branch(0, 10, Leaf(0), Leaf(1))
+        assert tree._levels == {} and tree._leaf_index is None
+        assert tree.depth == 1
+        assert tree.leaf_positions()[1] == 2
+
+    def test_leaf_positions_follow_preorder(self, example_tree):
+        positions, count = example_tree.leaf_positions()
+        assert count == example_tree.num_leaves
+        assert [positions[id(leaf)] for leaf in example_tree.leaves()] == list(
+            range(count)
+        )
+
+    def test_shared_leaf_maps_to_first_position(self):
+        shared = Leaf(1)
+        tree = DecisionTree(Branch(0, 10, shared, Branch(0, 20, Leaf(0), shared)))
+        positions, count = tree.leaf_positions()
+        assert count == 3 and positions[id(shared)] == 0
 
 
 class TestDownstream:

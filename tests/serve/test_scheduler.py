@@ -7,6 +7,7 @@ stick to lifecycle (close/idempotence/submit-after-close) and use
 generous timeouts on futures, never wall-clock assertions.
 """
 
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -432,6 +433,154 @@ class TestThreadedLifecycle:
         scheduler.close()
         # Virtual time never moved, so latency is exactly zero.
         assert scheduler.stats().latency_p50_ms == 0.0
+
+
+class TestWakeFlag:
+    """``submit_wakes``: the core's report of whether a waiting worker
+    must look again (the threaded engine's only notify trigger)."""
+
+    def test_only_dispatch_changes_wake(self):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=3, service_ms=1.0)
+        core.submit("m", Payload(), 0.0)
+        assert not core.submit_wakes  # no deadline, batch not full
+        core.submit("m", Payload(), 0.0, deadline=10.0)
+        assert core.submit_wakes  # frontier None -> 10 s
+        core.submit("m", Payload(), 0.0, deadline=11.0)
+        assert core.submit_wakes  # batch full
+        core.submit("m", Payload(), 0.0, deadline=12.0)
+        assert core.submit_wakes  # still full
+
+    def test_frontier_moves(self):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=48, service_ms=1.0)
+        core.submit("m", Payload(), 0.0, deadline=10.0)
+        assert core.submit_wakes
+        core.submit("m", Payload(), 0.0, deadline=10.0)
+        assert not core.submit_wakes  # same cut time: sleepers are right
+        core.submit("m", Payload(), 0.0, deadline=20.0)
+        assert not core.submit_wakes
+        core.submit("m", Payload(), 0.0, deadline=5.0)
+        assert core.submit_wakes
+        assert core.next_cut_time() == pytest.approx(5.0 - 0.001)
+
+    def test_flush_pending_wakes(self):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=48)
+        core.submit("m", Payload(), 0.0)
+        core.flush("m")
+        core.submit("m", Payload(), 0.0)
+        assert core.submit_wakes
+
+    def test_stale_frontier_is_rescanned_after_a_cut(self):
+        core = SchedulerCore(workers=2)
+        core.add_queue("m", capacity=3, service_ms=1.0)
+        submit_n(core, "m", 4, deadline=5.0)
+        assert core.assign(0.0).size == 3  # cache now dirty
+        core.submit("m", Payload(), 0.0, deadline=6.0)
+        assert not core.submit_wakes  # the leftover 5 s ticket still rules
+        core.submit("m", Payload(), 0.0, deadline=4.0)
+        assert core.submit_wakes
+        assert core.assign(0.0).size == 3
+        core.submit("m", Payload(), 0.0, deadline=7.0)
+        assert core.submit_wakes  # empty queue: frontier None -> 7 s
+
+
+class TestThreadedWakeProtocol:
+    """Idle workers wake only when a submit changes what they wait for;
+    a missed wake shows up as a wait for the 0.5 s safety-net poll."""
+
+    def run_noop(self, assignment):
+        for ticket in assignment.tickets:
+            ticket.future.set_result("done")
+
+    @staticmethod
+    def wait_until_idle(scheduler, workers):
+        """Block until ``workers`` threads sleep on the condition."""
+        limit = time.monotonic() + 10.0
+        while len(scheduler._cond._waiters) < workers:
+            assert time.monotonic() < limit, "workers never went idle"
+            time.sleep(0.001)
+
+    def test_submits_do_not_wake_idle_pool(self):
+        scheduler = Scheduler(threads=2)
+        scheduler.add_queue(
+            "m", capacity=48, evaluate=self.run_noop, service_ms=1.0
+        )
+        self.wait_until_idle(scheduler, 2)
+        calls = []
+        assign = scheduler._core.assign
+
+        def counting_assign(*args, **kwargs):
+            calls.append(1)
+            return assign(*args, **kwargs)
+
+        scheduler._core.assign = counting_assign
+        tickets = []
+        for _ in range(40):
+            tickets.append(
+                scheduler.submit("m", Payload(), deadline_ms=10_000.0)
+            )
+            self.wait_until_idle(scheduler, 2)  # let any woken worker act
+        woken = len(calls)
+        scheduler.flush("m")
+        assert all(t.future.result(timeout=30) == "done" for t in tickets)
+        scheduler.close()
+        # The first submit sets the cut frontier and wakes both workers
+        # once; the other 39 leave it unchanged (the same relative
+        # deadline only lands later), so they wake nobody.
+        assert woken <= 6
+
+    def test_earlier_deadline_cuts_promptly(self):
+        scheduler = Scheduler(threads=1)
+        scheduler.add_queue(
+            "m", capacity=64, evaluate=self.run_noop, service_ms=1.0
+        )
+        scheduler.submit("m", Payload(), deadline_ms=10_000.0)
+        self.wait_until_idle(scheduler, 1)  # asleep on the 10 s ticket
+        start = time.monotonic()
+        ticket = scheduler.submit("m", Payload(), deadline_ms=50.0)
+        assert ticket.future.result(timeout=30) == "done"
+        assert time.monotonic() - start < 0.150
+        scheduler.close()
+
+    @pytest.mark.parametrize("deadline_ms", [None, 10_000.0])
+    def test_filling_submit_dispatches_at_once(self, deadline_ms):
+        scheduler = Scheduler(threads=2)
+        scheduler.add_queue("m", capacity=4, evaluate=self.run_noop)
+        tickets = [
+            scheduler.submit("m", Payload(), deadline_ms=deadline_ms)
+            for _ in range(3)
+        ]
+        self.wait_until_idle(scheduler, 2)
+        start = time.monotonic()
+        tickets.append(scheduler.submit("m", Payload(), deadline_ms=deadline_ms))
+        for ticket in tickets:
+            assert ticket.future.result(timeout=30) == "done"
+        assert time.monotonic() - start < 0.250
+        scheduler.close()
+
+    def test_drain_and_close_return_promptly(self):
+        scheduler = Scheduler(threads=2)
+        scheduler.add_queue(
+            "m", capacity=48, evaluate=self.run_noop, service_ms=1.0
+        )
+        first = [
+            scheduler.submit("m", Payload(), deadline_ms=10_000.0)
+            for _ in range(5)
+        ]
+        self.wait_until_idle(scheduler, 2)
+        start = time.monotonic()
+        scheduler.flush("m")
+        scheduler.drain()
+        assert all(t.future.done() for t in first)
+        rest = [
+            scheduler.submit("m", Payload(), deadline_ms=10_000.0)
+            for _ in range(5)
+        ]
+        scheduler.close()  # flushes the partial batch, joins the pool
+        assert all(t.future.result(timeout=0) == "done" for t in rest)
+        assert time.monotonic() - start < 0.250
 
 
 class TestClocks:
