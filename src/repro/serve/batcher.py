@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import ValidationError
 from repro.core.runtime import (
@@ -80,6 +81,48 @@ class ClassificationResult:
 
     def plurality_name(self) -> str:
         return self.result.plurality_name()
+
+
+def batch_results(
+    registered: RegisteredModel,
+    batch_id: int,
+    features: Sequence[Sequence[int]],
+    bitvectors: Sequence[Sequence[int]],
+    inference_ms: float,
+    oracle_ok: Optional[Iterable[bool]] = None,
+) -> Iterator[ClassificationResult]:
+    """Yield one :class:`ClassificationResult` per query of a batch.
+
+    The one place both serving stacks build per-query results: the
+    per-batch invariants (model name, capacity, amortized ms, label
+    metadata) are computed once, while every result still gets its own
+    fresh lists.  Results are built lazily, in batch order, so a caller
+    resolving each future as it goes answers the first query without
+    waiting for the rest.  ``oracle_ok`` (None when verification was
+    off) is consumed in step, so it may be a lazy check too.
+    """
+    name = registered.name
+    capacity = registered.layout.capacity
+    spec = registered.spec
+    codebook, label_names = spec.codebook, spec.label_names
+    size = len(bitvectors)
+    amortized_ms = inference_ms / size if size else 0.0
+    checks = repeat(None) if oracle_ok is None else oracle_ok
+    for query, bits, ok in zip(features, bitvectors, checks):
+        yield ClassificationResult(
+            model=name,
+            features=list(query),
+            result=InferenceResult(
+                bitvector=list(bits),
+                codebook=list(codebook),
+                label_names=list(label_names),
+            ),
+            batch_id=batch_id,
+            batch_fill=size,
+            batch_capacity=capacity,
+            amortized_ms=amortized_ms,
+            oracle_ok=None if ok is None else bool(ok),
+        )
 
 
 @dataclass
@@ -276,37 +319,27 @@ class QueryBatcher:
         inference_ms = sum(phase_ms[p] for p in inference_phases)
         batch_id = batch.batch_id
 
-        oracle_failures: Optional[int] = 0 if self.verify_oracle else None
-        spec = registered.spec
-        size = len(entries)
-        for k, entry in enumerate(entries):
-            result = InferenceResult(
-                bitvector=bitvectors[k],
-                codebook=list(spec.codebook),
-                label_names=list(spec.label_names),
+        features = [e.features for e in entries]
+        oracle_ok = None
+        if self.verify_oracle:
+            forest = registered.forest
+            oracle_ok = (
+                bits == forest.label_bitvector(query)
+                for query, bits in zip(features, bitvectors)
             )
-            oracle_ok: Optional[bool] = None
-            if self.verify_oracle:
-                expected = registered.forest.label_bitvector(entry.features)
-                oracle_ok = bitvectors[k] == expected
-                if not oracle_ok:
-                    oracle_failures += 1
-            entry.future.set_result(
-                ClassificationResult(
-                    model=registered.name,
-                    features=list(entry.features),
-                    result=result,
-                    batch_id=batch_id,
-                    batch_fill=size,
-                    batch_capacity=layout.capacity,
-                    amortized_ms=inference_ms / size,
-                    oracle_ok=oracle_ok,
-                )
-            )
+        failures = 0
+        for entry, result in zip(entries, batch_results(
+            registered, batch_id, features, bitvectors, inference_ms,
+            oracle_ok,
+        )):
+            if result.oracle_ok is False:
+                failures += 1
+            entry.future.set_result(result)
+        oracle_failures = failures if self.verify_oracle else None
         record = BatchRecord(
             model=registered.name,
             batch_id=batch_id,
-            size=size,
+            size=len(entries),
             capacity=layout.capacity,
             tracker=ctx.tracker,
             phase_ms=phase_ms,

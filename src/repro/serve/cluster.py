@@ -1727,7 +1727,11 @@ class ClusterService:
                 name, payload, now, tenant=tenant, deadline=deadline,
                 priority=priority,
             )
-            self._dispatch_locked(now)
+            # Only a submit that made a batch cut-ready or moved the cut
+            # frontier earlier can dispatch; timers, parks, cohorts and
+            # hedges belong to the receiver loop, which wakes for them.
+            if self.router.core.submit_wakes:
+                self._dispatch_locked(now)
             failures = self.router.drain_failures()
         deliver_failures(failures)
         return future
@@ -1920,33 +1924,13 @@ class ClusterService:
         tickets = list(assignment.tickets)
 
         def resolve() -> None:
-            from repro.core.runtime import InferenceResult
-            from repro.serve.batcher import ClassificationResult
+            from repro.serve.batcher import batch_results
 
-            spec = registered.spec
-            size = len(tickets)
-            for k, ticket in enumerate(tickets):
-                bits = list(result.bitvectors[k])
-                oracle_ok = (
-                    None if result.oracle_ok is None
-                    else bool(result.oracle_ok[k])
-                )
-                outcome = ClassificationResult(
-                    model=registered.name,
-                    features=list(ticket.payload.features),
-                    result=InferenceResult(
-                        bitvector=bits,
-                        codebook=list(spec.codebook),
-                        label_names=list(spec.label_names),
-                    ),
-                    batch_id=result.batch_id,
-                    batch_fill=size,
-                    batch_capacity=registered.layout.capacity,
-                    amortized_ms=(
-                        result.inference_ms / size if size else 0.0
-                    ),
-                    oracle_ok=oracle_ok,
-                )
+            for ticket, outcome in zip(tickets, batch_results(
+                registered, result.batch_id,
+                [t.payload.features for t in tickets],
+                result.bitvectors, result.inference_ms, result.oracle_ok,
+            )):
                 future = ticket.payload.future
                 if not future.done():
                     future.set_result(outcome)

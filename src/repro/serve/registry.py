@@ -88,6 +88,9 @@ class RegisteredModel:
     #: The tape's zero-dispatch megakernel compilation, cached next to
     #: the plan and tape (None unless ``engine="megakernel"``).
     megakernel: Optional[MegaKernel] = field(default=None, repr=False)
+    #: Set by :meth:`ModelRegistry.unregister`: a retired entry serves
+    #: nothing, so holders of it (service batchers) stop at once.
+    retired: bool = field(default=False, repr=False)
 
     @property
     def batch_capacity(self) -> int:
@@ -409,6 +412,7 @@ class ModelRegistry:
         with self._lock:
             removed = self._models.pop(name, None)
         if removed is not None:
+            removed.retired = True
             self._record_registration(removed, -1)
 
     def __contains__(self, name: str) -> bool:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RejectedQuery, ServeError, ValidationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import (
     OUTCOME_CANCELLED,
     OUTCOME_COMPLETED,
@@ -376,6 +376,9 @@ class SchedulerCore:
         self._latencies_ms = m.histogram(
             "sched_latency_ms", window=LATENCY_WINDOW
         )
+        #: tenant -> its ``sched_tenant_submitted`` counter, looked up
+        #: on the tenant's first submit and reused by every later one.
+        self._tenant_submitted: Dict[str, Counter] = {}
         self._pending_failures: List[Tuple[Any, Exception]] = []
 
     # ------------------------------------------------------------------
@@ -557,9 +560,7 @@ class SchedulerCore:
         ):
             self._rejected.inc()
             self._submitted.inc()
-            self.metrics.counter(
-                "sched_tenant_submitted", {"tenant": tenant}
-            ).inc()
+            self._count_tenant_submit(tenant)
             if self.tracer is not None:
                 # Rejected queries still get a (zero-duration) root span
                 # so span conservation covers every submission.
@@ -599,10 +600,16 @@ class SchedulerCore:
             )
         self.submit_wakes = queue.push(ticket)
         self._submitted.inc()
-        self.metrics.counter(
-            "sched_tenant_submitted", {"tenant": tenant}
-        ).inc()
+        self._count_tenant_submit(tenant)
         return ticket
+
+    def _count_tenant_submit(self, tenant: str) -> None:
+        counter = self._tenant_submitted.get(tenant)
+        if counter is None:
+            counter = self._tenant_submitted[tenant] = self.metrics.counter(
+                "sched_tenant_submitted", {"tenant": tenant}
+            )
+        counter.inc()
 
     def flush(self, name: Optional[str] = None) -> None:
         """Make partial batches cut-eligible (a no-op on empty queues)."""
@@ -768,30 +775,7 @@ class SchedulerCore:
             finished_queue = self._queues.get(assignment.queue)
             if finished_queue is not None:
                 finished_queue.observe_service(now - assignment.cut_time)
-            for ticket in assignment.tickets:
-                self._completed.inc()
-                latency_ms = (now - ticket.submit_time) / MS
-                self._latencies_ms.observe(latency_ms)
-                missed = ticket.deadline is not None and now > ticket.deadline
-                if missed:
-                    self._deadline_misses.inc()
-                self.metrics.counter(
-                    "sched_tenant_completed", {"tenant": ticket.tenant}
-                ).inc()
-                self.metrics.counter(
-                    "sched_queue_completed", {"queue": ticket.queue}
-                ).inc()
-                self.metrics.histogram(
-                    "sched_tenant_latency_ms", {"tenant": ticket.tenant}
-                ).observe(latency_ms)
-                if tracer is not None and ticket.span is not None:
-                    tracer.end(
-                        ticket.span, now,
-                        outcome=OUTCOME_COMPLETED,
-                        batch_id=assignment.batch_id,
-                        deadline_missed=missed,
-                        retries=ticket.retries,
-                    )
+            self._account_completed(assignment, now)
         elif outcome == OUTCOME_ERROR:
             for ticket in assignment.tickets:
                 self._fail_ticket(ticket, ServeError(
@@ -813,6 +797,50 @@ class SchedulerCore:
                     ), now=now)
         else:
             raise ValidationError(f"unknown completion outcome {outcome!r}")
+
+    def _account_completed(self, assignment: Assignment,
+                           now: float) -> None:
+        """Count an OK batch's tickets in one pass.
+
+        One ``inc(n)``/``observe_many`` per instrument and one registry
+        lookup per (batch, tenant) and (batch, queue), leaving every
+        instrument as per-ticket accounting in ticket order would.
+        """
+        tickets = assignment.tickets
+        latencies = [(now - t.submit_time) / MS for t in tickets]
+        missed = [t.deadline is not None and now > t.deadline
+                  for t in tickets]
+        by_tenant: Dict[str, List[float]] = {}
+        by_queue: Dict[str, int] = {}
+        for ticket, latency_ms in zip(tickets, latencies):
+            by_tenant.setdefault(ticket.tenant, []).append(latency_ms)
+            by_queue[ticket.queue] = by_queue.get(ticket.queue, 0) + 1
+        self._completed.inc(len(tickets))
+        self._latencies_ms.observe_many(latencies)
+        if any(missed):
+            self._deadline_misses.inc(missed.count(True))
+        m = self.metrics
+        for tenant, values in by_tenant.items():
+            m.counter(
+                "sched_tenant_completed", {"tenant": tenant}
+            ).inc(len(values))
+            m.histogram(
+                "sched_tenant_latency_ms", {"tenant": tenant}
+            ).observe_many(values)
+        for name, count in by_queue.items():
+            m.counter("sched_queue_completed", {"queue": name}).inc(count)
+        tracer = self.tracer
+        if tracer is None:
+            return
+        for ticket, was_missed in zip(tickets, missed):
+            if ticket.span is not None:
+                tracer.end(
+                    ticket.span, now,
+                    outcome=OUTCOME_COMPLETED,
+                    batch_id=assignment.batch_id,
+                    deadline_missed=was_missed,
+                    retries=ticket.retries,
+                )
 
     def crash_worker(self, worker: int, now: float) -> Optional[Assignment]:
         """Simulate a worker dying.  Its in-flight batch (if any) takes

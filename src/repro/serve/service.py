@@ -458,13 +458,19 @@ class CopseService:
             self._batchers.pop(name, None)
 
     def _batcher(self, name: str) -> QueryBatcher:
-        # The registry owns name resolution (and its lookup-or-raise
-        # message); the batcher map only mirrors it, so a model removed
-        # via ``registry.unregister`` stops serving immediately even if
-        # its mirror entry has not been pruned yet.
-        self.registry.get(name)
-        with self._lock:
-            return self._batchers[name]
+        # One lock-free lookup (the map is only written under
+        # self._lock).  A model removed via ``registry.unregister`` is
+        # flagged retired on its entry, so it stops serving immediately
+        # even if its mirror entry has not been pruned yet.
+        batcher = self._batchers.get(name)
+        if batcher is None or batcher.registered.retired:
+            # The registry owns the lookup-or-raise message.
+            self.registry.get(name)
+            raise ValidationError(
+                f"model {name!r} is registered but not served by this "
+                f"service"
+            )
+        return batcher
 
     # ------------------------------------------------------------------
     # Submission
@@ -513,8 +519,8 @@ class CopseService:
                 # registry, releasing their cached encrypted structures
                 # (and failing their still-queued queries loudly).
                 stale = [
-                    name for name in self._batchers
-                    if name not in self.registry
+                    name for name, batcher in self._batchers.items()
+                    if batcher.registered.retired
                 ]
                 for name in stale:
                     del self._batchers[name]

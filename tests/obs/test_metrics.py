@@ -1,6 +1,8 @@
 """Tests for the bounded-memory metrics registry."""
 
 import json
+import re
+from concurrent.futures import Future
 
 import pytest
 
@@ -10,6 +12,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
     percentile,
 )
+
+
+class _Payload:
+    def __init__(self):
+        self.future = Future()
 
 
 class TestInstruments:
@@ -192,3 +199,38 @@ class TestPrometheus:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
+
+    def test_label_values_are_escaped(self):
+        """A caller-supplied tenant cannot break the exposition."""
+        from repro.serve.scheduler import SchedulerCore
+
+        tenants = ['a"b', "back\\slash", "two\nlines", 'all\\"\n', "plain"]
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=len(tenants))
+        for tenant in tenants:
+            core.submit("m", _Payload(), 0.0, tenant=tenant)
+        core.complete(core.assign(0.0), 0.01)
+        core.stats()
+        sample = re.compile(
+            r'^[a-zA-Z_:][a-zA-Z0-9_:]*'
+            r'(\{[a-zA-Z_]\w*="(?:[^"\\\n]|\\[\\"n])*"'
+            r'(,[a-zA-Z_]\w*="(?:[^"\\\n]|\\[\\"n])*")*\})?'
+            r' \S+$'
+        )
+        seen = set()
+        for line in core.metrics.render_prometheus().splitlines():
+            if line.startswith("# TYPE "):
+                continue
+            assert sample.match(line), line
+            for raw in re.findall(r'tenant="((?:[^"\\]|\\.)*)"', line):
+                seen.add(re.sub(
+                    r"\\(.)",
+                    lambda m: "\n" if m.group(1) == "n" else m.group(1),
+                    raw,
+                ))
+        assert seen == set(tenants)
+        assert set(core.metrics.labeled_values("sched_tenant_submitted")) \
+            == set(tenants)
+        snapshot = core.metrics.snapshot()["counters"]
+        assert snapshot['sched_tenant_submitted{tenant="plain"}'] == 1
+        assert snapshot['sched_tenant_submitted{tenant="a\\"b"}'] == 1

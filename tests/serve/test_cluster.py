@@ -534,6 +534,33 @@ class TestRealCluster:
             assert_conserved(stats)
         assert bits[1] == bits[2]
 
+    def test_real_results_match_in_process(self, example_forest):
+        """Both stacks build per-query results with one helper: for the
+        same queries every field but ``batch_id`` is equal."""
+        from repro.serve import CopseService
+
+        queries = real_queries(example_forest, 10, seed=17)
+        with CopseService(threads=1, backend="vector") as service:
+            service.register_model(
+                "eq", example_forest, precision=8, max_batch_size=4
+            )
+            local = service.classify_many("eq", queries)
+        with ClusterService(workers=1, backend="vector") as service:
+            service.register_model(
+                "eq", example_forest, precision=8, max_batch_size=4
+            )
+            remote = service.classify_many("eq", queries)
+        assert [r.batch_fill for r in local] == [4] * 8 + [2] * 2
+        for mine, theirs in zip(local, remote):
+            assert dataclasses.replace(mine, batch_id=0) == \
+                dataclasses.replace(theirs, batch_id=0)
+            assert mine.oracle_ok is True
+            assert type(theirs.bitvector) is list
+        # Every result owns its lists, also within one batch.
+        for results in (local, remote):
+            assert results[0].result.codebook is not \
+                results[1].result.codebook
+
     def test_real_worker_kill_mid_soak_recovers(self, example_forest):
         queries = real_queries(example_forest, 24, seed=9)
         with ClusterService(workers=2, backend="vector",

@@ -136,6 +136,16 @@ class TestErrors:
             service.flush()
             assert "m" not in service._batchers
 
+    def test_reregistered_on_registry_alone_is_not_served(
+            self, example_forest):
+        """A retired entry stays retired even when its name returns."""
+        with CopseService(threads=1) as service:
+            service.register_model("m", example_forest)
+            service.registry.unregister("m")
+            service.registry.register("m", example_forest)
+            with pytest.raises(ValidationError, match="not served"):
+                service.submit("m", [1, 2])
+
     def test_unregister_model_releases_batcher(self, example_forest):
         with CopseService(threads=1) as service:
             service.register_model("m", example_forest)
